@@ -46,6 +46,12 @@ class HillClimbingProfile:
     _tables: dict[AffinityMode, tuple[tuple[int, ...], tuple[float, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: Memoised Strategy-3 rankings (the ``count`` best configurations by
+    #: predicted time), keyed by ``count``; stamped and dropped with the
+    #: tables.
+    _rankings: dict[int, tuple[ConfigurationPrediction, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _tables_stamp: int = field(default=-1, init=False, repr=False, compare=False)
 
     def best(self) -> ConfigurationPrediction:
@@ -58,14 +64,21 @@ class HillClimbingProfile:
         return sorted(t for (t, a) in self.samples if a is affinity)
 
     def invalidate_tables(self) -> None:
-        """Drop the cached interpolation tables.
+        """Drop the cached interpolation tables and rankings.
 
         Call after *replacing* an existing sample's value in place;
-        adding or removing samples is detected automatically (the cache
-        is stamped with the sample count).
+        adding or removing samples is detected automatically (the caches
+        are stamped with the sample count).
         """
         self._tables.clear()
+        self._rankings.clear()
         self._tables_stamp = -1
+
+    def _check_stamp(self) -> None:
+        if self._tables_stamp != len(self.samples):
+            self._tables.clear()
+            self._rankings.clear()
+            self._tables_stamp = len(self.samples)
 
     def interpolation_table(
         self, affinity: AffinityMode
@@ -79,9 +92,7 @@ class HillClimbingProfile:
         overwrites an existing sample's value must call
         :meth:`invalidate_tables`.
         """
-        if self._tables_stamp != len(self.samples):
-            self._tables.clear()
-            self._tables_stamp = len(self.samples)
+        self._check_stamp()
         table = self._tables.get(affinity)
         if table is None:
             counts = tuple(sorted(t for (t, a) in self.samples if a is affinity))
@@ -263,15 +274,28 @@ class HillClimbingModel:
     def top_configurations(
         self, signature: OpSignature, count: int
     ) -> list[ConfigurationPrediction]:
-        """The ``count`` most performant configurations by predicted time."""
+        """The ``count`` most performant configurations by predicted time.
+
+        The runtime asks for the same ranking on every co-run launch
+        decision, so it is memoised on the signature's profile (keyed by
+        ``count``, dropped whenever the samples change).  Each call
+        returns a fresh list.
+        """
         if count < 1:
             raise ValueError("count must be at least 1")
-        predictions = self.predict_all(signature)
-        ranked = sorted(predictions.items(), key=lambda kv: kv[1])[:count]
-        return [
-            ConfigurationPrediction(threads=t, affinity=a, predicted_time=time)
-            for (t, a), time in ranked
-        ]
+        profile = self._profiles.get(signature)
+        if profile is None:
+            raise KeyError(f"signature not profiled: {signature}")
+        profile._check_stamp()
+        ranked = profile._rankings.get(count)
+        if ranked is None:
+            predictions = self.predict_all(signature)
+            ranked = tuple(
+                ConfigurationPrediction(threads=t, affinity=a, predicted_time=time)
+                for (t, a), time in sorted(predictions.items(), key=lambda kv: kv[1])[:count]
+            )
+            profile._rankings[count] = ranked
+        return list(ranked)
 
     # -- accuracy -------------------------------------------------------------------------
 

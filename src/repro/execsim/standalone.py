@@ -26,7 +26,7 @@ from repro.graph.op import OpInstance
 from repro.hardware.affinity import AffinityMode
 from repro.hardware.topology import Machine
 from repro.ops.characteristics import OpCharacteristics
-from repro.ops.cost import characterize
+from repro.ops.cost import CharacterizationCache
 from repro.ops.registry import OpRegistry
 from repro.utils.seeding import make_rng
 
@@ -95,11 +95,14 @@ class StandaloneRunner:
         #: of ambient global state.
         self.sweep_cache = sweep_cache
         self._rng = make_rng(seed)
+        #: The hill climb measures each op once per ladder rung; estimate
+        #: its characteristics once per runner.
+        self._characterize = CharacterizationCache(registry)
 
     # -- single-op measurements --------------------------------------------------
 
     def characteristics(self, op: OpInstance) -> OpCharacteristics:
-        return characterize(op, self.registry)
+        return self._characterize(op)
 
     def measure(
         self,

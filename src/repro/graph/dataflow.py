@@ -37,7 +37,11 @@ class DataflowGraph:
         return op
 
     def add_dependency(self, producer: str | OpInstance, consumer: str | OpInstance) -> None:
-        """Add an edge producer -> consumer between existing nodes."""
+        """Add an edge producer -> consumer between existing nodes.
+
+        The edge is rejected up front (and never added) when the consumer
+        already reaches the producer, since it would close a cycle.
+        """
         p = producer if isinstance(producer, str) else producer.name
         c = consumer if isinstance(consumer, str) else consumer.name
         for node in (p, c):
@@ -45,10 +49,9 @@ class DataflowGraph:
                 raise KeyError(f"unknown operation {node!r}")
         if p == c:
             raise ValueError("an operation cannot depend on itself")
-        self._g.add_edge(p, c)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(p, c)
+        if nx.has_path(self._g, c, p):
             raise ValueError(f"edge {p} -> {c} would create a cycle")
+        self._g.add_edge(p, c)
 
     # -- queries ------------------------------------------------------------------
 

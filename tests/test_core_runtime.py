@@ -8,6 +8,7 @@ from repro.api import available_models, build_model_graph, default_machine, quic
 from repro.baselines.manual_opt import ManualOptimizer
 from repro.baselines.tf_default import UniformPolicy, default_policy, recommended_policy
 from repro.core.config import RuntimeConfig
+from repro.core.hill_climbing import HillClimbingModel
 from repro.core.runtime import TrainingRuntime
 from repro.execsim.simulator import StepSimulator
 from repro.models import build_model
@@ -180,3 +181,52 @@ class TestApi:
         outcome = quick_schedule("resnet50", stage_blocks=(1, 1, 1, 1))
         assert outcome.speedup_vs_recommendation > 1.0
         assert "speedup" in str(outcome)
+
+
+#: ``quick_schedule(m, config=RuntimeConfig(seed=0))`` on the KNL node:
+#: (step_time, recommendation_time, profiling_signatures).  The runtime's
+#: hot-path memos must not move these.
+SCHEDULE_PINS = {
+    "dcgan": (1.3357780525940042, 2.0985605152733227, 90),
+    "inception_v3": (2.374676769900833, 4.879882808637417, 282),
+    "lstm": (0.055500481237185637, 0.14553424794070763, 26),
+    "resnet50": (2.104977653829349, 3.9121440596344264, 178),
+}
+
+
+class TestSchedulePins:
+    @pytest.mark.parametrize("model", sorted(SCHEDULE_PINS))
+    def test_quick_schedule_matches_pinned_figures(self, model):
+        step_time, recommendation_time, signatures = SCHEDULE_PINS[model]
+        outcome = quick_schedule(model, config=RuntimeConfig(seed=0))
+        assert abs(outcome.step_time - step_time) <= 1e-12
+        assert abs(outcome.recommendation_time - recommendation_time) <= 1e-12
+        assert outcome.profiling_signatures == signatures
+
+    def test_rankings_are_computed_once_per_signature_and_count(self, monkeypatch):
+        """One schedule ranks each (signature, k) at most once per runtime."""
+        predict_all = HillClimbingModel.predict_all
+        top_configurations = HillClimbingModel.top_configurations
+        evaluations: dict[tuple[int, object], int] = {}
+        counts_asked: dict[tuple[int, object], set[int]] = {}
+        rankings = 0
+
+        def counting_predict_all(self, signature):
+            key = (id(self), signature)
+            evaluations[key] = evaluations.get(key, 0) + 1
+            return predict_all(self, signature)
+
+        def counting_top_configurations(self, signature, count):
+            nonlocal rankings
+            rankings += 1
+            counts_asked.setdefault((id(self), signature), set()).add(count)
+            return top_configurations(self, signature, count)
+
+        monkeypatch.setattr(HillClimbingModel, "predict_all", counting_predict_all)
+        monkeypatch.setattr(HillClimbingModel, "top_configurations", counting_top_configurations)
+        quick_schedule("dcgan", config=RuntimeConfig(seed=0))
+        assert evaluations
+        assert set(evaluations) <= set(counts_asked)
+        for key, calls in evaluations.items():
+            assert calls <= len(counts_asked[key]), key
+        assert rankings > sum(evaluations.values())

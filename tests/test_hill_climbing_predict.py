@@ -127,3 +127,76 @@ class TestBisectPredictRegression:
             model.predict(make_conv_op().signature, 0, AffinityMode.SPREAD)
         with pytest.raises(KeyError):
             model.predict(make_conv_op().signature, 4, AffinityMode.SPREAD)
+
+
+def _fresh_ranking(model: HillClimbingModel, signature, count: int):
+    """The ranking recomputed from scratch, bypassing the memo."""
+    ranked = sorted(model.predict_all(signature).items(), key=lambda kv: kv[1])[:count]
+    return [(t, a, time) for (t, a), time in ranked]
+
+
+def _as_tuples(top):
+    return [(c.threads, c.affinity, c.predicted_time) for c in top]
+
+
+class TestTopConfigurationsMemo:
+    """``top_configurations`` memoises its ranking on the profile."""
+
+    def test_matches_fresh_ranking_after_construction(self, knl):
+        ops = [make_conv_op("Conv2D", (32, 8, 8, 384)), make_elementwise_op("Mul", (32, 8, 8, 384))]
+        model = _profiled_model(knl, ops)
+        for op in ops:
+            for k in (1, 3, 8):
+                for _ in range(2):  # second call is served from the memo
+                    top = model.top_configurations(op.signature, k)
+                    assert _as_tuples(top) == _fresh_ranking(model, op.signature, k)
+
+    def test_matches_fresh_ranking_after_samples_added(self, knl):
+        profile = HillClimbingProfile(signature=make_conv_op().signature)
+        profile.samples[(1, AffinityMode.SPREAD)] = 4.0
+        profile.samples[(9, AffinityMode.SPREAD)] = 1.0
+        profile.samples[(2, AffinityMode.SHARED)] = 3.0
+        model = HillClimbingModel(knl)
+        model.add_profile(profile)
+        sig = profile.signature
+        before = model.top_configurations(sig, 4)
+        assert _as_tuples(before) == _fresh_ranking(model, sig, 4)
+        profile.samples[(5, AffinityMode.SPREAD)] = 0.5
+        after = model.top_configurations(sig, 4)
+        assert _as_tuples(after) == _fresh_ranking(model, sig, 4)
+        assert after[0].threads == 5 and after[0].predicted_time == 0.5
+        assert after != before
+
+    def test_matches_fresh_ranking_after_overwrite_and_invalidate(self, knl):
+        profile = HillClimbingProfile(signature=make_conv_op().signature)
+        profile.samples[(1, AffinityMode.SPREAD)] = 4.0
+        profile.samples[(9, AffinityMode.SPREAD)] = 1.0
+        profile.samples[(2, AffinityMode.SHARED)] = 3.0
+        model = HillClimbingModel(knl)
+        model.add_profile(profile)
+        sig = profile.signature
+        assert model.top_configurations(sig, 3)[0].threads == 9
+        profile.samples[(9, AffinityMode.SPREAD)] = 9.0
+        profile.invalidate_tables()
+        top = model.top_configurations(sig, 3)
+        assert _as_tuples(top) == _fresh_ranking(model, sig, 3)
+        assert top[0].predicted_time < 9.0
+
+    def test_returned_list_is_a_copy(self, knl):
+        model = _profiled_model(knl, [make_conv_op()])
+        sig = make_conv_op().signature
+        first = model.top_configurations(sig, 3)
+        expected = list(first)
+        first.clear()
+        assert model.top_configurations(sig, 3) == expected
+        second = model.top_configurations(sig, 3)
+        second.reverse()
+        assert model.top_configurations(sig, 3) == expected
+
+    def test_unknown_signature_and_bad_count(self, knl):
+        model = HillClimbingModel(knl)
+        with pytest.raises(KeyError):
+            model.top_configurations(make_conv_op().signature, 3)
+        model = _profiled_model(knl, [make_conv_op()])
+        with pytest.raises(ValueError):
+            model.top_configurations(make_conv_op().signature, 0)

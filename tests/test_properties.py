@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -171,6 +172,46 @@ class TestGraphProperties:
             )
             completed.append(name)
         assert ready_frontier(graph, completed) == ()
+
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=10_000),
+        inserts=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=11), st.integers(min_value=0, max_value=11)),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_add_dependency_rejects_exactly_the_cycle_closing_edges(self, n, seed, inserts):
+        """The reachability check agrees with "add the edge, then test for a DAG"."""
+        rng = np.random.default_rng(seed)
+        builder = GraphBuilder("random")
+        shape = TensorShape((4, 4))
+        ops = []
+        for _ in range(n):
+            deps = [op for op in ops if rng.random() < 0.3]
+            ops.append(builder.add("Mul", inputs=[shape, shape], output=shape, deps=deps))
+        graph = builder.build()
+        for i, j in inserts:
+            producer, consumer = ops[i % n].name, ops[j % n].name
+            if producer == consumer:
+                continue
+            reference = graph.to_networkx()
+            reference.add_edge(producer, consumer)
+            old_rule_rejects = not nx.is_directed_acyclic_graph(reference)
+            edges = graph.num_edges
+            try:
+                graph.add_dependency(producer, consumer)
+            except ValueError as error:
+                assert old_rule_rejects
+                assert str(error) == f"edge {producer} -> {consumer} would create a cycle"
+                assert graph.num_edges == edges
+                assert producer not in graph.predecessors(consumer)
+            else:
+                assert not old_rule_rejects
+                assert producer in graph.predecessors(consumer)
+            graph.validate()
 
 
 class TestMlkitProperties:
